@@ -128,7 +128,7 @@ def block_attention_forward(
         qs = q[:, r.r0:r.r1]
         ks = k[:, r.c0:r.c1]
         vs = v[:, r.c0:r.c1]
-        s_tile = np.einsum("hid,hjd->hij", qs, ks) * scale
+        s_tile = np.matmul(qs, ks.swapaxes(-1, -2)) * scale
         tile_max = s_tile.max(axis=-1)
         m_old = m[:, r.r0:r.r1]
         m_new = np.maximum(m_old, tile_max)
@@ -136,7 +136,7 @@ def block_attention_forward(
         p = np.exp(s_tile - m_new[:, :, None])
         l[:, r.r0:r.r1] = l[:, r.r0:r.r1] * corr + p.sum(axis=-1)
         out[:, r.r0:r.r1] = (out[:, r.r0:r.r1] * corr[:, :, None]
-                             + np.einsum("hij,hjd->hid", p, vs))
+                             + np.matmul(p, vs))
         m[:, r.r0:r.r1] = m_new
 
     out /= np.maximum(l, 1e-30)[:, :, None]

@@ -10,9 +10,14 @@ paper (dense O(S²) vs topology-induced O(Ẽ)).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 __all__ = ["AttentionStats", "StatsCollector", "collector"]
+
+#: Records a :class:`StatsCollector` keeps.  Kernels record every call, so
+#: an unbounded list grows for the life of a serving worker or a long fit.
+MAX_RECORDS = 1024
 
 
 @dataclass
@@ -40,9 +45,13 @@ class AttentionStats:
 
 @dataclass
 class StatsCollector:
-    """Module-level sink the kernels append to; cheap enough to always run."""
+    """Module-level sink the kernels append to; cheap enough to always run.
 
-    records: list[AttentionStats] = field(default_factory=list)
+    Keeps the newest :data:`MAX_RECORDS` calls; older ones are dropped.
+    """
+
+    records: deque[AttentionStats] = field(
+        default_factory=lambda: deque(maxlen=MAX_RECORDS))
     enabled: bool = True
 
     def add(self, stats: AttentionStats) -> None:
@@ -56,6 +65,7 @@ class StatsCollector:
         return self.records[-1] if self.records else None
 
     def total_flops(self) -> int:
+        """FLOPs summed over the kept records."""
         return sum(r.flops for r in self.records)
 
 

@@ -135,7 +135,8 @@ def gelu_forward(x: np.ndarray, ws: dict | None = None) -> tuple[np.ndarray, np.
     u = _buf(ws, "gelu_u", x.shape, x.dtype)
     t = _buf(ws, "gelu_t", x.shape, x.dtype)
     out = _buf(ws, "gelu_out", x.shape, x.dtype)
-    np.power(x, 3, out=u)
+    np.multiply(x, x, out=u)
+    np.multiply(u, x, out=u)
     np.multiply(u, 0.044715, out=u)
     np.add(x, u, out=u)
     np.multiply(u, _SQRT_2_OVER_PI, out=u)

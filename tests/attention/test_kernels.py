@@ -16,8 +16,11 @@ from repro.attention import (
     sparse_attention,
     topology_pattern,
 )
+from repro.attention.dense import dense_attention_forward
 from repro.graph import dc_sbm, star_graph
 from repro.tensor import Tensor, set_precision
+
+from tests.helpers import numerical_grad
 
 H, S, DH = 2, 48, 8
 
@@ -53,6 +56,58 @@ class TestDenseFlashEquivalence:
         outs = [flash_attention(q, k, v, tile_size=t).data for t in (1, 5, 48, 100)]
         for o in outs[1:]:
             np.testing.assert_allclose(o, outs[0], atol=1e-5)
+
+
+class TestDenseGradient:
+    """Finite-difference check of the fused dense backward, in fp64."""
+
+    Hs, Ss, DHs = 2, 6, 3
+
+    @pytest.mark.parametrize("bias_heads,masked", [(2, False), (1, False), (2, True)])
+    def test_matches_finite_differences(self, rng, bias_heads, masked):
+        set_precision("fp64")
+        shapes = [(self.Hs, self.Ss, self.DHs)] * 3 + [(bias_heads, self.Ss, self.Ss)]
+        arrays = [rng.standard_normal(s) for s in shapes]
+        mask = None
+        if masked:
+            mask = rng.random((self.Ss, self.Ss)) < 0.6
+            mask[2] = False  # a fully masked row has zero output and gradient
+        seed = rng.standard_normal((self.Hs, self.Ss, self.DHs))
+
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        dense_attention(*tensors[:3], bias=tensors[3], mask=mask).backward(seed)
+        for i, t in enumerate(tensors):
+            def f(x, i=i):
+                args = [Tensor(a) for a in arrays]
+                args[i] = Tensor(x)
+                out = dense_attention(*args[:3], bias=args[3], mask=mask)
+                return float((out.data * seed).sum())
+            np.testing.assert_allclose(t.grad, numerical_grad(f, arrays[i]),
+                                       rtol=1e-6, atol=1e-8)
+
+
+class TestDenseDtypeAndWorkspace:
+    def test_fp32_matches_fp64_einsum_reference(self, rng):
+        q, k, v = (rng.standard_normal((H, S, DH)).astype(np.float32) for _ in range(3))
+        bias = rng.standard_normal((H, S, S)).astype(np.float32)
+        s = np.einsum("hid,hjd->hij", q.astype(np.float64), k) / np.sqrt(DH) + bias
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        ref = np.einsum("hij,hjd->hid", e / e.sum(axis=-1, keepdims=True), v)
+        out, _ = dense_attention_forward(q, k, v, bias=bias)
+        np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_workspace_path_is_bitwise(self, rng, dtype):
+        q, k, v = (rng.standard_normal((H, S, DH)).astype(dtype) for _ in range(3))
+        bias = rng.standard_normal((H, S, S)).astype(dtype)
+        ref_out, ref_p = dense_attention_forward(q, k, v, bias=bias)
+        assert ref_out.dtype == dtype and ref_p.dtype == dtype
+        ws = {}
+        for _ in range(2):  # the second call reuses the workspace buffers
+            out, p = dense_attention_forward(q, k, v, bias=bias, ws=ws)
+            assert np.array_equal(out, ref_out)
+            assert np.array_equal(p, ref_p)
+        assert out is ws["att_out"]
 
 
 class TestSparseKernel:
@@ -191,6 +246,17 @@ class TestStatsInstrumentation:
                         Tensor(np.concatenate([v.data, v.data], axis=1)))
         st2 = collector.last()
         assert st2.regular_bytes == 2 * st.regular_bytes
+
+    def test_collector_keeps_only_newest_records(self):
+        from repro.attention.stats import MAX_RECORDS, AttentionStats, StatsCollector
+        sink = StatsCollector()
+        for i in range(MAX_RECORDS + 5):
+            sink.add(AttentionStats(kind="dense", seq_len=1, num_heads=1, head_dim=1,
+                                    scores_computed=1, flops=i, regular_bytes=0,
+                                    irregular_bytes=0))
+        assert len(sink.records) == MAX_RECORDS
+        assert sink.records[0].flops == 5
+        assert sink.last().flops == MAX_RECORDS + 4
 
     def test_collector_totals(self, rng):
         collector.clear()

@@ -86,6 +86,20 @@ class TestGelu:
     def test_grad(self):
         fused_grad_check(lambda a: F.gelu(a), (4, 3))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_workspace_path_is_bitwise(self, rng, dtype):
+        x = rng.standard_normal((5, 7)).astype(dtype)
+        ref_out, ref_t = F.gelu_forward(x)
+        assert ref_out.dtype == dtype and ref_t.dtype == dtype
+        ws = {}
+        for _ in range(2):  # the second call reuses the workspace buffers
+            out, t = F.gelu_forward(x, ws=ws)
+            assert np.array_equal(out, ref_out)
+            assert np.array_equal(t, ref_t)
+        np.testing.assert_allclose(
+            ref_out, 0.5 * x * (1 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x ** 3))),
+            rtol=1e-6 if dtype == np.float32 else 1e-12)
+
 
 class TestLayerNorm:
     def test_normalizes(self, rng):
