@@ -20,6 +20,7 @@ from .config import (
     RunConfig,
     TrainConfig,
 )
+from ..graph import InvalidNodeIdsError
 from .session import Session
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "TrainConfig",
     "RunConfig",
     "Session",
+    "InvalidNodeIdsError",
     "Callback",
     "CallbackList",
     "EarlyStoppingCallback",

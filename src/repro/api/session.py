@@ -33,7 +33,12 @@ from ..core import make_engine
 from ..obs import hooks as _hooks
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from ..graph import dataset_fingerprint, load_graph_dataset, load_node_dataset
+from ..graph import (
+    check_node_ids,
+    dataset_fingerprint,
+    load_graph_dataset,
+    load_node_dataset,
+)
 from ..models import build_model
 from ..models.encodings import compute_encodings
 from ..tensor import no_grad, precision_scope
@@ -382,6 +387,10 @@ class Session:
         sequences of that length (deployment-matched to ``seq_len``
         training).  Graph-level tasks return stacked per-graph outputs
         for ``indices`` (default: every graph in the dataset).
+
+        ``nodes`` must be distinct in-range ids in a non-empty 1-D array
+        of signed integers; anything else raises
+        :class:`~repro.graph.InvalidNodeIdsError` (a ``ValueError``).
         """
         if self.config.data.task_kind == "graph":
             if nodes is not None or batch_size is not None:
@@ -391,6 +400,8 @@ class Session:
         if indices is not None:
             raise ValueError("indices= applies to graph-level datasets; "
                              "use nodes= for node tasks")
+        if nodes is not None:
+            nodes = check_node_ids(nodes, self.dataset.graph.num_nodes)
         return self._predict_nodes(nodes, batch_size)
 
     def _predict_nodes(self, nodes, batch_size) -> np.ndarray:
@@ -439,7 +450,6 @@ class Session:
                         self._infer_cache = (ds_key, version, ctx, enc)
                 feats = ds.features
             else:
-                nodes = np.asarray(nodes)
                 sorted_nodes = np.sort(nodes)
                 key = ("nodes", ds_key, version, sorted_nodes.tobytes())
                 entry = self._compiled_get(key) if fused else None

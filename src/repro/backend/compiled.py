@@ -5,8 +5,10 @@ The pipeline is ``trace → fold → lower → verify``:
 * **fold** — any node whose inputs are all constants (weights, encodings,
   anything not derived from the feature matrix) is deleted and its traced
   output array *is* its folded value — no recomputation.  This removes
-  entire encoding subgraphs (e.g. Graphormer's per-forward (S,S,H) SPD
-  bias gather + transpose) from the steady-state path.
+  entire encoding subgraphs (e.g. the degree-embedding gathers) from the
+  steady-state path.  Graphormer's head-major (H,S,S) SPD bias gather
+  (``head_bias_lookup``) is not traced at all: its output enters the
+  program as a constant, just as a folded value would.
 * **lower** — each surviving node becomes a step executing the same
   ``*_forward`` helper the reference autograd op calls, but against a
   persistent per-step workspace dict, so steady-state replay performs no

@@ -12,7 +12,43 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "InvalidNodeIdsError", "check_node_ids"]
+
+
+class InvalidNodeIdsError(ValueError):
+    """A node-id array that does not name a set of distinct graph nodes."""
+
+
+def check_node_ids(nodes, num_nodes: int) -> np.ndarray:
+    """Validate node ids supplied by a caller; return them as ``int64``.
+
+    The ids must be a non-empty 1-D array of signed integers, each in
+    ``[0, num_nodes)`` and none repeated.  Anything else raises
+    :class:`InvalidNodeIdsError`, before an id can reach an index
+    expression: a negative id would wrap to the end of the graph, a bool
+    array would act as a mask, and an unsigned or float array has already
+    lost whatever id it was converted from.
+    """
+    try:
+        arr = np.asarray(nodes)
+    except (TypeError, ValueError) as exc:  # ragged or unconvertible
+        raise InvalidNodeIdsError(f"node ids are not an array: {exc}") from None
+    if arr.ndim != 1:
+        raise InvalidNodeIdsError(f"node ids must be 1-D, got shape {arr.shape}")
+    if arr.size == 0:
+        raise InvalidNodeIdsError("node ids must not be empty")
+    if arr.dtype.kind != "i":
+        raise InvalidNodeIdsError(
+            f"node ids must be signed integers, got dtype {arr.dtype}")
+    bad = (arr < 0) | (arr >= num_nodes)
+    if bad.any():
+        raise InvalidNodeIdsError(
+            f"node id {arr[bad][0]} is outside [0, {num_nodes})")
+    s = np.sort(arr)
+    dup = s[1:] == s[:-1]
+    if dup.any():
+        raise InvalidNodeIdsError(f"node id {s[1:][dup][0]} is repeated")
+    return arr.astype(np.int64, copy=False)
 
 
 class CSRGraph:

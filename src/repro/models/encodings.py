@@ -14,7 +14,7 @@ cost against training time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from ..attention.patterns import AttentionPattern
 from ..graph.algorithms import truncated_spd_matrix
 from ..graph.csr import CSRGraph
 from ..graph.laplacian import laplacian_positional_encoding
+from ..tensor.functional import BucketSum
 
 __all__ = ["GraphEncodings", "compute_encodings"]
 
@@ -35,6 +36,22 @@ class GraphEncodings:
     lap_pe: np.ndarray | None  # (S, k) float or None
     max_degree: int
     max_spd: int
+    _spd_sums: BucketSum | None = field(default=None, init=False, repr=False,
+                                        compare=False)
+
+    def spd_sums(self, num_buckets: int) -> BucketSum:
+        """The SPD bias gradient's per-bucket reducer, kept with these
+        encodings so every training step reuses one sorted operator.
+
+        It is rebuilt when ``spd_buckets`` is replaced (the identity is
+        checked), and a graph change yields new encodings and thus a new
+        reducer; the bucket array itself must not be edited in place.
+        """
+        s = self._spd_sums
+        if (s is None or s.buckets is not self.spd_buckets
+                or s.num_buckets != num_buckets):
+            s = self._spd_sums = BucketSum(self.spd_buckets, num_buckets)
+        return s
 
     def spd_for_pattern(self, pattern: AttentionPattern) -> np.ndarray:
         """Per-entry SPD buckets for a sparse pattern, shape (E,).

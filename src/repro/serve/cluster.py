@@ -51,7 +51,7 @@ import numpy as np
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.trace import get_tracer
 from ..obs.trace import set_tracing as _set_process_tracing
-from . import _clock
+from .. import _clock
 from .batcher import BatchPolicy
 from .pool import config_key, dataset_identity
 from .queue import (
@@ -761,7 +761,7 @@ class ServingCluster:
 
         Returns the number of requests completed this round.  ``now``
         threads a virtual clock into deadline culling; heartbeat aging
-        reads the same serving clock (:mod:`repro.serve._clock`), so an
+        reads the same serving clock (:mod:`repro._clock`), so an
         injected fake clock drives both domains together.
         """
         with self._lock:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..obs.metrics import get_registry
-from . import _clock
+from .. import _clock
 
 __all__ = ["ElasticPolicy", "ElasticStats", "ElasticController"]
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _clock
+from .. import _clock
 from .batcher import BatchPolicy
 from .pool import SessionPool
 from .queue import DeadlineExceededError, QueueFullError

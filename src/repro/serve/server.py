@@ -38,7 +38,7 @@ import numpy as np
 from ..obs import hooks as _hooks
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from . import _clock
+from .. import _clock
 from .batcher import BatchPolicy, MicroBatch, MicroBatcher, seq_len_bucket
 from .pool import SessionPool, config_key
 from .queue import (

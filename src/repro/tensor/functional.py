@@ -10,8 +10,10 @@ how the paper's kernels treat Softmax/Dropout as single fused GPU kernels.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
-from .tensor import Tensor
+from .precision import Precision
+from .tensor import Tensor, get_precision
 
 __all__ = [
     "workspace_buffer",
@@ -25,6 +27,8 @@ __all__ = [
     "layer_norm_forward",
     "dropout",
     "embedding_lookup",
+    "BucketSum",
+    "head_bias_lookup",
     "cross_entropy",
     "binary_cross_entropy_with_logits",
     "l1_loss",
@@ -225,18 +229,117 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
     return Tensor._make(a.data * mask, (a,), backward)
 
 
+class BucketSum:
+    """Per-bucket sums in ascending position order: ``np.add.at``'s order.
+
+    ``buckets`` assigns each of its ``N`` positions (any shape, flattened
+    in C order) to one of ``num_buckets`` rows.  The reduction is a one-hot
+    CSR operator ``A`` with ``A[b, i] = 1`` iff ``buckets.flat[i] == b`` and
+    the column indices ascending within each row.  A CSR product sums each
+    row's entries in stored order starting from zero, and multiplying by 1
+    is exact, so ``A @ x`` adds every bucket's values in the order
+    ``np.add.at(zeros, buckets, x)`` does: the same bits, without the
+    scatter.  The operator is built on first use and kept, so a caller
+    that reduces over fixed buckets every step (Graphormer's SPD bias, via
+    :meth:`repro.models.GraphEncodings.spd_sums`) sorts them once.
+
+    Only when the values are wider than the accumulator (fp64 compute on
+    float32 parameters) does ``np.add.at`` itself run: it rounds to the
+    accumulator after every addition, which no single product reproduces.
+    """
+
+    def __init__(self, buckets: np.ndarray, num_buckets: int):
+        self.buckets = buckets
+        self.num_buckets = num_buckets
+        self._order: np.ndarray | None = None
+        self._indptr: np.ndarray | None = None
+        self._ops: dict[np.dtype, sp.csr_array] = {}
+
+    def _operator(self, dtype: np.dtype) -> sp.csr_array:
+        if self._order is None:
+            flat = np.asarray(self.buckets).reshape(-1)
+            if flat.size and flat.min() < 0:  # numpy's negative-index wrap
+                flat = np.where(flat < 0, flat + self.num_buckets, flat)
+            # stable, so positions stay ascending within each bucket (a
+            # radix sort for the int16 SPD buckets)
+            self._order = np.argsort(flat, kind="stable")
+            self._indptr = np.zeros(self.num_buckets + 1, np.intp)
+            np.cumsum(np.bincount(flat, minlength=self.num_buckets),
+                      out=self._indptr[1:])
+        op = self._ops.get(dtype)
+        if op is None:
+            op = sp.csr_array((np.ones(self._order.size, dtype), self._order,
+                               self._indptr),
+                              shape=(self.num_buckets, self._order.size))
+            self._ops[dtype] = op
+        return op
+
+    def _scatter(self, x: np.ndarray, dtype) -> np.ndarray:
+        out = np.zeros((self.num_buckets,) + x.shape[1:], dtype)
+        np.add.at(out, np.asarray(self.buckets).reshape(-1), x)
+        return out
+
+    def rows(self, x: np.ndarray, dtype) -> np.ndarray:
+        """Sum the rows of ``x`` ``(N, D)`` per bucket into a
+        ``(num_buckets, D)`` array of ``dtype``."""
+        if not np.can_cast(x.dtype, dtype):
+            return self._scatter(x, dtype)
+        return self._operator(np.dtype(dtype)) @ x
+
+    def heads(self, g: np.ndarray, dtype) -> np.ndarray:
+        """Sum each head's row of ``g`` ``(H, N)`` per bucket into a
+        ``(num_buckets, H)`` array of ``dtype``."""
+        if not np.can_cast(g.dtype, dtype):
+            return self._scatter(g.T, dtype)
+        op = self._operator(np.dtype(dtype))
+        out = np.empty((self.num_buckets, g.shape[0]), dtype)
+        for h, gh in enumerate(g):
+            out[:, h] = op @ gh
+        return out
+
+
 def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows of ``table`` at integer ``indices`` (scatter-add bwd)."""
+    """Gather rows of ``table`` at integer ``indices``; the backward sums
+    the gradient rows per index with :class:`BucketSum`."""
     t = table
     idx = np.asarray(indices)
 
     def backward(g):
         if t.requires_grad:
-            buf = np.zeros_like(t.data)
-            np.add.at(buf, idx.reshape(-1), g.reshape(-1, t.data.shape[-1]))
-            t._accumulate(buf)
+            t._accumulate(BucketSum(idx, t.data.shape[0]).rows(
+                g.reshape(-1, t.data.shape[-1]), t.data.dtype))
 
     return Tensor._make(t.data[idx], (t,), backward)
+
+
+def head_bias_lookup(table: Tensor, buckets: np.ndarray,
+                     sums: BucketSum | None = None) -> Tensor:
+    """Gather ``table`` ``(B, H)`` at ``buckets`` into a contiguous
+    head-major ``(H, *buckets.shape)`` array.
+
+    The values and the gradient are bitwise those of
+    ``embedding_lookup(table, buckets)`` moved heads-first, but the output
+    is C-contiguous, so the attention kernels add it as a plain array
+    rather than a strided view, and the backward reduces each head's
+    gradient row with :class:`BucketSum` instead of transposing it back
+    and scattering.  ``sums`` is a reducer built over these same
+    ``buckets`` and kept by the caller; without one, the backward builds
+    its own.
+    """
+    t = table
+    if sums is not None and sums.buckets is not buckets:
+        raise ValueError("sums= must be built over the same buckets array")
+    idx = np.asarray(buckets)
+    # cast the (B, H) table rather than the gathered array; an elementwise
+    # cast commutes with the gather, so the bits are unchanged
+    src = np.ascontiguousarray(t.data.T, dtype=Precision.dtype(get_precision()))
+
+    def backward(g):
+        if t.requires_grad:
+            s = sums if sums is not None else BucketSum(idx, t.data.shape[0])
+            t._accumulate(s.heads(g.reshape(g.shape[0], -1), t.data.dtype))
+
+    return Tensor._make(np.take(src, idx, axis=1), (t,), backward)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray,

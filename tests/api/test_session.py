@@ -11,6 +11,7 @@ from repro.api import (
     DataConfig,
     EarlyStoppingCallback,
     EngineConfig,
+    InvalidNodeIdsError,
     ModelConfig,
     RunConfig,
     Session,
@@ -174,6 +175,45 @@ class TestPredictEvaluate:
     def test_node_task_rejects_graph_kwargs(self, fitted):
         with pytest.raises(ValueError, match="graph-level"):
             fitted.predict(indices=np.array([0]))
+
+
+class TestPredictNodeIds:
+    """``predict(nodes=…)`` accepts distinct in-range signed-integer ids
+    in a non-empty 1-D array and refuses everything else with one typed
+    error, before an id reaches an index expression."""
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        return Session(node_config())
+
+    @pytest.mark.parametrize("make", [
+        lambda n: [-1, 2],                       # would wrap to node n-1
+        lambda n: [-120],
+        lambda n: [n + 5],
+        lambda n: [0, n],
+        lambda n: [],
+        lambda n: np.array([True, False, True]),  # would act as a mask
+        lambda n: np.array([1, 2], dtype=np.uint8),
+        lambda n: [1.0, 2.0],
+        lambda n: [[1, 2]],
+        lambda n: np.int64(3),
+        lambda n: [3, 5, 3],
+        lambda n: [[1], [2, 3]],                 # ragged
+        lambda n: ["1", "2"],
+    ], ids=["negative", "very-negative", "past-end", "at-end", "empty",
+            "bool", "uint8", "float", "2-D", "scalar", "duplicate",
+            "ragged", "strings"])
+    def test_bad_ids_raise_one_typed_error(self, session, make):
+        n = session.dataset.num_nodes
+        with pytest.raises(InvalidNodeIdsError):
+            session.predict(nodes=make(n))
+        assert issubclass(InvalidNodeIdsError, ValueError)
+
+    def test_any_signed_integer_dtype_is_accepted(self, session):
+        ref = session.predict(nodes=np.array([9, 2, 17]))
+        for nodes in ([9, 2, 17], np.array([9, 2, 17], dtype=np.int8),
+                      np.array([9, 2, 17], dtype=np.int32)):
+            np.testing.assert_array_equal(session.predict(nodes=nodes), ref)
 
 
 class TestCallbacks:

@@ -18,7 +18,7 @@ import pytest
 DOCUMENTED_PACKAGES = ("repro.api", "repro.serve", "repro.net",
                        "repro.stream", "repro.store", "repro.backend",
                        "repro.obs")
-EXTRA_MODULES = ("repro.docgen",)
+EXTRA_MODULES = ("repro.docgen", "repro._clock")
 
 
 def iter_documented_modules():
